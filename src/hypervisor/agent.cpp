@@ -140,7 +140,8 @@ void Dom0Agent::on_token(const sim::Message& msg) {
 
   // A token can land on a stale host when the holder VM was drained while the
   // token was in flight (churn): the NAT redirect forwards it to the VM's
-  // current hypervisor.
+  // current hypervisor. (Churn-only path, so forwarding a copy of the
+  // delivered frame costs nothing on the fault-free hop.)
   const topo::HostId holder_host = ipam.vm_host(token.holder);
   if (holder_host != host_) {
     env_->comm().send(CtrlMsg::kToken, host_, holder_host,

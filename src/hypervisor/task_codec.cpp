@@ -20,6 +20,8 @@ constexpr std::uint8_t kMagic[4] = {'S', 'C', 'T', 'A'};
 // Payloads are control messages (token frames are O(|V|)); anything past
 // this bound is a corrupted length field, not a legal frame.
 constexpr std::size_t kMaxPayloadBytes = 1u << 28;
+// The shortest encoded action: a bare kind byte (kStopRun, kProbeTimeout).
+constexpr std::size_t kMinActionBytes = 1;
 
 [[noreturn]] void fail(const char* what) {
   throw std::invalid_argument(std::string("task_codec: ") + what);
@@ -74,6 +76,7 @@ class Reader {
   void expect_end() const {
     if (pos_ != buf_->size()) fail("trailing bytes after frame");
   }
+  std::size_t remaining() const { return buf_->size() - pos_; }
 
  private:
   void need(std::size_t n) const {
@@ -190,9 +193,10 @@ void encode_actions(std::vector<std::uint8_t>& buf,
 
 std::vector<TaskAction> decode_actions(Reader& r) {
   const std::uint32_t count = r.u32();
-  // An action is at least 1 byte; a count past the buffer is corruption,
-  // caught before allocating.
-  if (count > kMaxPayloadBytes) fail("action count out of range");
+  // Every action encodes to at least kMinActionBytes, so a count the bytes
+  // left in the frame cannot hold is corruption — rejected before the
+  // reservation, which is therefore bounded by the frame that carried it.
+  if (count > r.remaining() / kMinActionBytes) fail("action count out of range");
   std::vector<TaskAction> actions;
   actions.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) actions.push_back(decode_action(r));

@@ -5,36 +5,22 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hypervisor/wire.hpp"
+
 namespace score::hypervisor {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  put_u32(buf, static_cast<std::uint32_t>(v));
-  put_u32(buf, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& buf, std::size_t pos) {
-  return static_cast<std::uint32_t>(buf[pos]) |
-         (static_cast<std::uint32_t>(buf[pos + 1]) << 8) |
-         (static_cast<std::uint32_t>(buf[pos + 2]) << 16) |
-         (static_cast<std::uint32_t>(buf[pos + 3]) << 24);
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& buf, std::size_t pos) {
-  return static_cast<std::uint64_t>(get_u32(buf, pos)) |
-         (static_cast<std::uint64_t>(get_u32(buf, pos + 4)) << 32);
-}
+using wire::get_u32;
+using wire::load_u32;
+using wire::load_u64;
+using wire::put_u32;
+using wire::store_u32;
+using wire::store_u64;
 
 constexpr std::uint8_t kCheckedBit = 0x80;
 constexpr std::uint8_t kMagic[4] = {'S', 'C', 'T', 'K'};
+constexpr std::size_t kEntryBytes = 5;
 
 }  // namespace
 
@@ -117,81 +103,91 @@ std::vector<std::uint8_t> encode_token(const Token& token) {
   if (!std::isfinite(token.aggregate_delta)) {
     throw std::invalid_argument("encode_token: aggregate delta must be finite");
   }
-  bool holder_present = token.entries.empty();
-  std::uint32_t prev = 0;
-  bool first = true;
+  const std::size_t count = token.entries.size();
+
+  // Size the frame once, then write header and entries through a cursor;
+  // the entry loop validates as it writes (a throw discards the buffer).
+  std::vector<std::uint8_t> buf(token_frame_bytes(count));
+  std::uint8_t* p = std::copy(std::begin(kMagic), std::end(kMagic), buf.data());
+  *p++ = kTokenFrameVersion;
+  *p++ = static_cast<std::uint8_t>(token.policy);
+  p = store_u32(p, token.epoch);
+  p = store_u32(p, token.ring_pos);
+  p = store_u64(p, std::bit_cast<std::uint64_t>(token.aggregate_delta));
+  p = store_u32(p, token.holder);
+  p = store_u32(p, static_cast<std::uint32_t>(count));
+
+  const std::uint32_t holder = token.holder;
+  bool holder_present = count == 0;
+  std::int64_t prev = -1;  // below every 32-bit id: the first entry passes
   for (const TokenWireEntry& e : token.entries) {
-    if (!first && e.vm_id <= prev) {
+    if (static_cast<std::int64_t>(e.vm_id) <= prev) {
       throw std::invalid_argument("encode_token: ids must be strictly ascending");
     }
     if (e.level > 0x7F) {
       throw std::invalid_argument("encode_token: level exceeds 7 bits");
     }
-    holder_present = holder_present || e.vm_id == token.holder;
+    holder_present = holder_present || e.vm_id == holder;
+    p = store_u32(p, e.vm_id);
+    *p++ = static_cast<std::uint8_t>(e.level | (e.checked ? kCheckedBit : 0));
     prev = e.vm_id;
-    first = false;
   }
   if (!holder_present) {
     throw std::invalid_argument("encode_token: holder not in entry list");
-  }
-
-  std::vector<std::uint8_t> buf;
-  buf.reserve(token_frame_bytes(token.entries.size()));
-  for (const std::uint8_t b : kMagic) buf.push_back(b);
-  buf.push_back(kTokenFrameVersion);
-  buf.push_back(static_cast<std::uint8_t>(token.policy));
-  put_u32(buf, token.epoch);
-  put_u32(buf, token.ring_pos);
-  put_u64(buf, std::bit_cast<std::uint64_t>(token.aggregate_delta));
-  put_u32(buf, token.holder);
-  put_u32(buf, static_cast<std::uint32_t>(token.entries.size()));
-  for (const TokenWireEntry& e : token.entries) {
-    put_u32(buf, e.vm_id);
-    buf.push_back(static_cast<std::uint8_t>(e.level | (e.checked ? kCheckedBit : 0)));
   }
   return buf;
 }
 
 Token decode_token(const std::vector<std::uint8_t>& buf) {
-  if (buf.size() < token_frame_header_bytes()) {
+  const std::uint8_t* data = buf.data();
+  const std::size_t size = buf.size();
+  if (size < token_frame_header_bytes()) {
     throw std::invalid_argument("decode_token: truncated header");
   }
-  if (!std::equal(std::begin(kMagic), std::end(kMagic), buf.begin())) {
+  if (!std::equal(std::begin(kMagic), std::end(kMagic), data)) {
     throw std::invalid_argument("decode_token: bad magic");
   }
-  if (buf[4] != kTokenFrameVersion) {
+  if (data[4] != kTokenFrameVersion) {
     throw std::invalid_argument("decode_token: unsupported version");
   }
-  if (buf[5] > static_cast<std::uint8_t>(TokenPolicyId::kHighestLevelFirst)) {
+  if (data[5] > static_cast<std::uint8_t>(TokenPolicyId::kHighestLevelFirst)) {
     throw std::invalid_argument("decode_token: unknown policy id");
   }
-
-  Token token;
-  token.policy = static_cast<TokenPolicyId>(buf[5]);
-  token.epoch = get_u32(buf, 6);
-  token.ring_pos = get_u32(buf, 10);
-  token.aggregate_delta = std::bit_cast<double>(get_u64(buf, 14));
-  if (!std::isfinite(token.aggregate_delta)) {
+  const double aggregate_delta = std::bit_cast<double>(load_u64(data + 14));
+  if (!std::isfinite(aggregate_delta)) {
     throw std::invalid_argument("decode_token: aggregate delta not finite");
   }
-  token.holder = get_u32(buf, 22);
-  const std::uint32_t count = get_u32(buf, 26);
-  if (buf.size() != token_frame_bytes(count)) {
+  const std::uint32_t count = load_u32(data + 26);
+  // The exact-length check runs before anything is allocated, so a hostile
+  // count can never size a buffer larger than the frame that carried it.
+  if (size != token_frame_bytes(count)) {
     throw std::invalid_argument("decode_token: length does not match entry count");
   }
 
-  token.entries.reserve(count);
+  Token token;
+  token.policy = static_cast<TokenPolicyId>(data[5]);
+  token.epoch = load_u32(data + 6);
+  token.ring_pos = load_u32(data + 10);
+  token.aggregate_delta = aggregate_delta;
+  token.holder = load_u32(data + 22);
+  token.entries.resize(count);
+
+  const std::uint8_t* p = data + token_frame_header_bytes();
+  TokenWireEntry* e = token.entries.data();
+  const std::uint32_t holder = token.holder;
   bool holder_present = count == 0;
-  for (std::size_t pos = token_frame_header_bytes(); pos < buf.size(); pos += 5) {
-    TokenWireEntry e;
-    e.vm_id = get_u32(buf, pos);
-    e.level = buf[pos + 4] & static_cast<std::uint8_t>(~kCheckedBit);
-    e.checked = (buf[pos + 4] & kCheckedBit) != 0;
-    if (!token.entries.empty() && e.vm_id <= token.entries.back().vm_id) {
+  std::int64_t prev = -1;  // below every 32-bit id: the first entry passes
+  for (std::uint32_t i = 0; i < count; ++i, p += kEntryBytes, ++e) {
+    const std::uint32_t id = load_u32(p);
+    const std::uint8_t status = p[4];
+    if (static_cast<std::int64_t>(id) <= prev) {
       throw std::invalid_argument("decode_token: ids not ascending");
     }
-    holder_present = holder_present || e.vm_id == token.holder;
-    token.entries.push_back(e);
+    e->vm_id = id;
+    e->level = status & static_cast<std::uint8_t>(~kCheckedBit);
+    e->checked = (status & kCheckedBit) != 0;
+    holder_present = holder_present || id == holder;
+    prev = id;
   }
   if (!holder_present) {
     throw std::invalid_argument("decode_token: holder not in entry list");

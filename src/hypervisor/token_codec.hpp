@@ -25,9 +25,13 @@
 // All integers are little-endian. decode_token validates strictly: magic,
 // version, policy, exact length, finite aggregate delta, strictly ascending
 // ids, and holder membership — truncated or corrupted buffers throw
-// std::invalid_argument rather than decoding to garbage.
+// std::invalid_argument rather than decoding to garbage. The framed codec is
+// a bulk codec: encode sizes the frame once and writes through a cursor,
+// decode checks the exact frame length before it allocates and then reads
+// every entry in one loop — a token hop costs what its bytes cost.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -96,7 +100,8 @@ constexpr std::uint8_t kTokenFrameVersion = 1;
 
 /// Encode a frame. Throws std::invalid_argument on non-ascending ids, a
 /// holder absent from a non-empty entry list, levels above 127, or a
-/// non-finite aggregate delta.
+/// non-finite aggregate delta. The frame is sized once and written in one
+/// pass; the bytes are those of the per-field layout above.
 std::vector<std::uint8_t> encode_token(const Token& token);
 
 /// Decode and validate a frame (see header comment for the reject list).

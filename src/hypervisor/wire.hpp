@@ -2,6 +2,11 @@
 // codec (token frames, probe payloads, task/result frames) and the trace hash.
 // Kept header-only so the agents, the codecs and the runtime hash identical
 // bytes identically — the determinism seam depends on one implementation.
+//
+// Two layers: the raw-pointer store_*/load_* primitives, which the bulk
+// token codec uses to write and read a pre-sized frame in one tight loop, and
+// the vector put_*/get_* helpers built on them for small frames assembled
+// field by field. Neither checks bounds; callers validate lengths first.
 #pragma once
 
 #include <bit>
@@ -10,30 +15,51 @@
 
 namespace score::hypervisor::wire {
 
+inline std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+  return p + 4;
+}
+
+inline std::uint8_t* store_u64(std::uint8_t* p, std::uint64_t v) {
+  p = store_u32(p, static_cast<std::uint32_t>(v));
+  return store_u32(p, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load_u32(p)) |
+         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
+}
+
 inline void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
+  const std::size_t at = buf.size();
+  buf.resize(at + 4);
+  store_u32(buf.data() + at, v);
 }
 
 inline std::uint32_t get_u32(const std::vector<std::uint8_t>& buf,
                              std::size_t pos) {
-  return static_cast<std::uint32_t>(buf[pos]) |
-         (static_cast<std::uint32_t>(buf[pos + 1]) << 8) |
-         (static_cast<std::uint32_t>(buf[pos + 2]) << 16) |
-         (static_cast<std::uint32_t>(buf[pos + 3]) << 24);
+  return load_u32(buf.data() + pos);
 }
 
 inline void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  put_u32(buf, static_cast<std::uint32_t>(v));
-  put_u32(buf, static_cast<std::uint32_t>(v >> 32));
+  const std::size_t at = buf.size();
+  buf.resize(at + 8);
+  store_u64(buf.data() + at, v);
 }
 
 inline std::uint64_t get_u64(const std::vector<std::uint8_t>& buf,
                              std::size_t pos) {
-  return static_cast<std::uint64_t>(get_u32(buf, pos)) |
-         (static_cast<std::uint64_t>(get_u32(buf, pos + 4)) << 32);
+  return load_u64(buf.data() + pos);
 }
 
 inline void put_f64(std::vector<std::uint8_t>& buf, double v) {

@@ -1,6 +1,8 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace score::sim {
 
@@ -8,22 +10,24 @@ void EventQueue::schedule_at(double when, EventFn fn) {
   if (when < now_) {
     throw std::invalid_argument("EventQueue::schedule_at: time in the past");
   }
-  heap_.push(Entry{when, next_seq_++, std::move(fn)});
+  heap_.push_back(Entry{when, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast on the handle is
-  // UB-prone, so copy the function object instead (events are cheap).
-  Entry e = heap_.top();
-  heap_.pop();
+  // pop_heap moves the earliest entry to the back; take it from there by move
+  // so the callable (and whatever payload it captured) is never copied.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
   now_ = e.when;
   e.fn();
   return true;
 }
 
 void EventQueue::run_until(double until) {
-  while (!heap_.empty() && heap_.top().when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     step();
   }
   if (until != std::numeric_limits<double>::infinity() && now_ < until) {

@@ -5,13 +5,18 @@
 // same facility as a minimal event queue: callbacks scheduled at absolute
 // simulated times, executed in time order (FIFO among equal timestamps).
 // ScoreSimulation and the Remedy control loop run on top of this.
+//
+// Events are not cheap: the distributed runtime's token hand-offs capture the
+// whole O(|V|) token frame in their callables. The queue therefore only ever
+// moves a callable — into the heap on schedule, out of it on step — and never
+// copies one after it has been enqueued.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace score::sim {
@@ -50,6 +55,8 @@ class EventQueue {
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
     EventFn fn;
   };
+  // Heap growth must relocate entries by move, not by copy.
+  static_assert(std::is_nothrow_move_constructible_v<Entry>);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
@@ -59,7 +66,10 @@ class EventQueue {
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Min-heap on (when, seq) via std::push_heap/pop_heap with Later. `seq`
+  /// is unique, so the pop order is a total order independent of the heap
+  /// algorithm.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace score::sim

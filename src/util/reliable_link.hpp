@@ -16,6 +16,11 @@
 // mangled frame. Retransmission happens in real time and is invisible to the
 // virtual-time scheduler above, which is why fault-free and faulty runs
 // produce bit-identical results.
+//
+// Allocation is bounded by what arrived: the envelope carries no length
+// field (the payload is the rest of the transport frame), so every buffer
+// the receiver keeps is a copy of bytes it was actually sent, and at most
+// 2^16 out-of-order frames (the receive window) are held.
 #pragma once
 
 #include <chrono>

@@ -21,6 +21,18 @@ namespace score::util {
 namespace {
 
 constexpr std::size_t kMaxFrameBytes = 1u << 28;
+// The receive buffer grows with the bytes that have actually arrived (to at
+// most twice them, or this first chunk): a length prefix alone never sizes an
+// allocation, so a hostile or corrupted header cannot make the reader reserve
+// up to kMaxFrameBytes for a frame that never comes.
+constexpr std::size_t kRxChunkBytes = 64u << 10;
+
+std::size_t frame_length(const std::uint8_t (&header)[4]) {
+  return static_cast<std::size_t>(header[0]) |
+         (static_cast<std::size_t>(header[1]) << 8) |
+         (static_cast<std::size_t>(header[2]) << 16) |
+         (static_cast<std::size_t>(header[3]) << 24);
+}
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("socket: " + what + " (" +
@@ -213,6 +225,11 @@ std::optional<std::vector<std::uint8_t>> Socket::read_frame_timeout(
         dst = rx_header_ + rx_got_;
         want = sizeof(rx_header_) - rx_got_;
       } else {
+        const std::size_t len = frame_length(rx_header_);
+        if (rx_got_ == rx_payload_.size() && rx_got_ < len) {
+          rx_payload_.resize(
+              std::min(len, std::max(2 * rx_got_, kRxChunkBytes)));
+        }
         dst = rx_payload_.data() + rx_got_;
         want = rx_payload_.size() - rx_got_;
       }
@@ -221,17 +238,12 @@ std::optional<std::vector<std::uint8_t>> Socket::read_frame_timeout(
       if (n > 0) {
         rx_got_ += static_cast<std::size_t>(n);
         if (!rx_have_header_ && rx_got_ == sizeof(rx_header_)) {
-          const std::uint32_t len =
-              static_cast<std::uint32_t>(rx_header_[0]) |
-              (static_cast<std::uint32_t>(rx_header_[1]) << 8) |
-              (static_cast<std::uint32_t>(rx_header_[2]) << 16) |
-              (static_cast<std::uint32_t>(rx_header_[3]) << 24);
-          if (len > kMaxFrameBytes) {
+          if (frame_length(rx_header_) > kMaxFrameBytes) {
             throw std::runtime_error("socket: incoming frame too large");
           }
           rx_have_header_ = true;
           rx_got_ = 0;
-          rx_payload_.assign(len, 0);
+          rx_payload_.clear();
         }
         continue;
       }
@@ -245,7 +257,7 @@ std::optional<std::vector<std::uint8_t>> Socket::read_frame_timeout(
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       fail("read failed");
     }
-    if (rx_have_header_ && rx_got_ == rx_payload_.size()) {
+    if (rx_have_header_ && rx_got_ == frame_length(rx_header_)) {
       std::vector<std::uint8_t> out = std::move(rx_payload_);
       rx_payload_.clear();
       rx_have_header_ = false;

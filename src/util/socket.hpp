@@ -10,7 +10,8 @@
 //
 // Framing is a u32 little-endian length followed by that many bytes; the
 // frame content is the task codec's self-validating format, so the transport
-// stays dumb. All I/O is blocking; short reads/writes are retried, EOF and
+// stays dumb. The reader grows its buffer with the bytes that have arrived
+// rather than sizing it from the length prefix. All I/O is blocking; short reads/writes are retried, EOF and
 // errors throw std::runtime_error. TCP_NODELAY is set on TCP sockets — the
 // control plane is request/response with small frames, exactly the pattern
 // Nagle penalizes.

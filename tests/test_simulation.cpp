@@ -3,6 +3,10 @@
 // accounting, and policy-agnostic invariants.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "driver/simulation.hpp"
 #include "helpers.hpp"
 #include "sim/event_queue.hpp"
@@ -86,6 +90,92 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   q.run();
   EXPECT_EQ(count, 10);
   EXPECT_DOUBLE_EQ(q.now(), 9.0);
+}
+
+// A callable that counts its own copies (moves are free), standing in for
+// the runtime's token hand-offs, which capture the whole encoded token.
+struct CopyCounter {
+  int* copies;
+  int* runs;
+  std::vector<std::uint8_t> payload = std::vector<std::uint8_t>(4096, 7);
+
+  CopyCounter(int* c, int* r) : copies(c), runs(r) {}
+  CopyCounter(const CopyCounter& o)
+      : copies(o.copies), runs(o.runs), payload(o.payload) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(EventQueue, RunningEventsNeverCopiesTheirCallables) {
+  EventQueue q;
+  int copies = 0;
+  int runs = 0;
+  constexpr int kEvents = 1000;
+  for (int i = 0; i < kEvents; ++i) {
+    // Reverse and repeating timestamps so the heap really reorders entries.
+    q.schedule_at(static_cast<double>((kEvents - i) % 37),
+                  CopyCounter(&copies, &runs));
+  }
+  const int after_schedule = copies;
+  EXPECT_EQ(after_schedule, 0) << "scheduling copied a callable";
+  q.run();
+  EXPECT_EQ(runs, kEvents);
+  EXPECT_EQ(copies, after_schedule) << "running events copied callables";
+}
+
+TEST(EventQueue, EventsScheduledWhileRunningAreNotCopied) {
+  EventQueue q;
+  int copies = 0;
+  int runs = 0;
+  for (int i = 0; i < 50; ++i) {
+    q.schedule_at(static_cast<double>(i), [&q, &copies, &runs] {
+      q.schedule_in(0.5, CopyCounter(&copies, &runs));
+    });
+  }
+  q.run();
+  EXPECT_EQ(runs, 50);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(EventQueue, FifoAmongEqualTimestampsInterleavedWithOthers) {
+  EventQueue q;
+  std::vector<int> order;
+  // Equal-time groups scheduled out of time order and interleaved: within a
+  // timestamp, scheduling order decides.
+  for (int i = 0; i < 30; ++i) {
+    const double when = static_cast<double>(2 - i % 3);
+    q.schedule_at(when, [&order, i] { order.push_back(i); });
+  }
+  q.run();
+  std::vector<int> want;
+  for (const int r : {2, 1, 0}) {
+    for (int i = r; i < 30; i += 3) want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+}
+
+TEST(EventQueue, RunUntilBoundaryIsInclusive) {
+  EventQueue q;
+  std::vector<double> fired;
+  for (const double t : {1.0, 2.0, 2.0, std::nextafter(2.0, 3.0), 3.0}) {
+    q.schedule_at(t, [&fired, &q] { fired.push_back(q.now()); });
+  }
+  q.run_until(2.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 2.0}));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  // Repeating the bound runs nothing more.
+  q.run_until(2.0);
+  EXPECT_EQ(q.pending(), 2u);
+  q.run_until(2.5);
+  EXPECT_EQ(fired.size(), 4u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.5);
+  q.run();
+  EXPECT_EQ(fired.size(), 5u);
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  EXPECT_FALSE(q.step());
 }
 
 // -------------------------------------------------------- ScoreSimulation

@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "address_space_limit.hpp"
 #include "hypervisor/task_codec.hpp"
 #include "util/rng.hpp"
 
@@ -279,6 +280,47 @@ TEST(TaskCodec, DecodeRejectsLengthMismatch) {
   const std::size_t len_at = task_frame_header_bytes() + 4 + 18;
   sbuf[len_at] = static_cast<std::uint8_t>(one.actions[0].payload.size() + 1);
   EXPECT_THROW(decode_task(sbuf), std::invalid_argument);
+}
+
+// The action count is bounded by the bytes left in the frame (an action is
+// at least one byte), and checked before the action vector is reserved: a
+// hostile count must cost nothing, on any host. The child's address space
+// may grow by 64 MiB; reserving 2^28 ~96-byte actions would need ~25 GB.
+TEST(TaskCodec, HostileActionCountNeverAllocatesPastTheFrame) {
+  for (const std::uint32_t count : {1u << 28, 0xFFFFFFFFu, 1000u}) {
+    TaskFrame f;
+    f.type = score::hypervisor::TaskType::kResult;
+    std::vector<std::uint8_t> buf = encode_task(f);  // header + count 0
+    for (int i = 0; i < 4; ++i) {
+      buf[task_frame_header_bytes() + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    buf.resize(buf.size() + 999, 6);  // 999 one-byte kStopRun actions
+    const auto outcome = score::testing::run_with_address_space_headroom(
+        64u << 20, [&buf] {
+          try {
+            decode_task(buf);
+          } catch (const std::invalid_argument&) {
+            return true;
+          }
+          return false;
+        });
+    EXPECT_EQ(outcome, score::testing::LimitedOutcome::kPassed)
+        << "count " << count << ": " << score::testing::to_string(outcome);
+  }
+}
+
+TEST(TaskCodec, ActionCountBoundAdmitsAFrameOfMinimalActions) {
+  // The bound is exact, not conservative: N one-byte actions in N bytes.
+  TaskFrame f;
+  f.type = score::hypervisor::TaskType::kResult;
+  for (int i = 0; i < 300; ++i) {
+    TaskAction a;
+    a.kind = i % 2 == 0 ? TaskActionKind::kStopRun : TaskActionKind::kProbeTimeout;
+    f.actions.push_back(a);
+  }
+  const std::vector<std::uint8_t> buf = encode_task(f);
+  EXPECT_EQ(buf.size(), task_frame_header_bytes() + 4 + 300);
+  EXPECT_EQ(decode_task(buf).actions.size(), 300u);
 }
 
 TEST(TaskCodec, DecodeRejectsInconsistentInit) {

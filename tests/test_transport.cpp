@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "address_space_limit.hpp"
 #include "util/reliable_link.hpp"
 #include "util/socket.hpp"
 #include "util/transport.hpp"
@@ -108,6 +109,53 @@ TEST(SocketFraming, PeerCloseMidFrameThrows) {
             static_cast<ssize_t>(sizeof(partial)));
   ::close(fds[1]);
   EXPECT_THROW((void)reader.read_frame_timeout(1.0), std::runtime_error);
+}
+
+// A length prefix alone must not size the receive buffer: a header claiming
+// the largest legal frame (256 MiB) followed by a few bytes may cost only
+// what arrived. The reader runs in a child whose address space may grow by
+// 64 MiB, so a buffer sized from the prefix fails on every host.
+TEST(SocketFraming, LengthPrefixAloneNeverSizesTheBuffer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  util::Socket reader(fds[0]);
+  util::Socket writer(fds[1]);
+  const std::uint32_t claimed = 1u << 28;
+  std::vector<std::uint8_t> wire = {
+      static_cast<std::uint8_t>(claimed), static_cast<std::uint8_t>(claimed >> 8),
+      static_cast<std::uint8_t>(claimed >> 16),
+      static_cast<std::uint8_t>(claimed >> 24)};
+  for (int i = 0; i < 100; ++i) wire.push_back(static_cast<std::uint8_t>(i));
+  ASSERT_EQ(::write(fds[1], wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  writer.close();
+  const auto outcome = testing::run_with_address_space_headroom(
+      64u << 20, [&reader] {
+        try {
+          reader.read_frame_timeout(1.0);
+        } catch (const std::runtime_error&) {
+          return true;  // peer closed mid-frame, after buffering 100 bytes
+        }
+        return false;
+      });
+  EXPECT_EQ(outcome, testing::LimitedOutcome::kPassed) << testing::to_string(outcome);
+}
+
+TEST(SocketFraming, LargeFrameArrivesIntactAcrossBufferGrowth) {
+  // A frame several times the first receive chunk, written in one go while
+  // the reader grows its buffer with the bytes that arrive.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  util::Socket reader(fds[0]);
+  util::Socket writer(fds[1]);
+  const std::vector<std::uint8_t> big = pattern_frame(300000 + 17, 3);
+  std::thread t([&writer, &big] {
+    writer.write_frame(big);
+    writer.write_frame({});
+  });
+  EXPECT_EQ(reader.read_frame(), big);
+  EXPECT_TRUE(reader.read_frame().empty());
+  t.join();
 }
 
 // ---- FaultyTransport --------------------------------------------------------
