@@ -1,7 +1,8 @@
-// Golden-trace regression suite: canonical continuous-operation runs are
-// rendered to a stable text form (timeline, per-epoch net migration logs,
-// costs at 6 significant digits, structural trace hash) and compared byte
-// for byte against the expectations committed under tests/golden/. Any
+// Golden-trace regression suite: canonical continuous-operation and
+// streaming runs are rendered to a stable text form (timeline, per-epoch net
+// migration logs, per-trigger re-opt events, costs at 6 significant digits,
+// structural trace hash) and compared byte for byte against the
+// expectations committed under tests/golden/. Any
 // behavioural drift — an extra migration, a reordered event, a cost shift —
 // fails here even when the aggregate cost gates would still pass.
 //
@@ -18,6 +19,7 @@
 
 #include "core/scenario_io.hpp"
 #include "driver/continuous.hpp"
+#include "driver/streaming.hpp"
 #include "topology/canonical_tree.hpp"
 #include "topology/fat_tree.hpp"
 
@@ -73,6 +75,7 @@ std::string render(const std::string& name,
         << er.rounds << "\n";
     out << "  cost_before " << fmt6(er.cost_before) << " cost_after "
         << fmt6(er.cost_after) << " fresh " << fmt6(er.fresh_cost) << "\n";
+    out << "  migrated_mb " << fmt6(er.migrated_mb) << "\n";
     out << "  moves " << er.changes.size() << "\n";
     for (const driver::PlacementChange& mv : er.changes) {
       out << "  " << mv.world_vm << ' ' << mv.from << " -> " << mv.to << "\n";
@@ -82,6 +85,32 @@ std::string render(const std::string& name,
   std::snprintf(hash, sizeof(hash), "%016llx",
                 static_cast<unsigned long long>(report.trace_hash));
   out << "trace_hash " << hash << "\n";
+  return out.str();
+}
+
+/// Streaming rendering: one block per drift-triggered re-optimisation
+/// (integers plus costs and drift at 6 significant digits).
+std::string render(const std::string& name,
+                   const driver::StreamingReport& report) {
+  std::ostringstream out;
+  out << "score-golden v1\n";
+  out << "case " << name << "\n";
+  out << "ticks " << report.ticks << " deltas " << report.deltas_applied
+      << " shards " << report.ingest_shards << "\n";
+  out << "initial_cost " << fmt6(report.initial_cost) << "\n";
+  out << "reopts " << report.reopts.size() << " partial "
+      << report.partial_reopts << "\n";
+  for (const driver::ReoptEvent& ev : report.reopts) {
+    out << "reopt tick " << ev.tick << " drift " << fmt6(ev.drift)
+        << " migrations " << ev.migrations << " rounds " << ev.rounds
+        << " partial " << (ev.partial ? 1 : 0) << " drifted";
+    for (const std::size_t t : ev.drifted_shards) out << ' ' << t;
+    out << "\n";
+    out << "  cost_before " << fmt6(ev.cost_before) << " cost_after "
+        << fmt6(ev.cost_after) << " fresh " << fmt6(ev.fresh_cost) << "\n";
+  }
+  out << "final_cost " << fmt6(report.final_cost) << " fresh "
+      << fmt6(report.final_fresh_cost) << "\n";
   return out.str();
 }
 
@@ -176,6 +205,37 @@ TEST(GoldenTraces, FatTreeDistributedZeroLoss) {
   driver::ContinuousEngine engine(topology, cfg);
   check_or_regen("fattree-distributed-loss0",
                  render("fattree-distributed-loss0", engine.run()));
+}
+
+// Sharded ingest with partial re-optimisation: every drift-triggered re-opt
+// (full and partial) and both fresh-reference paths, pinned byte for byte.
+TEST(GoldenTraces, CanonicalTreeStreamingSharded) {
+  topo::CanonicalTreeConfig tcfg;
+  tcfg.racks = 8;
+  tcfg.hosts_per_rack = 4;
+  tcfg.racks_per_pod = 2;
+  tcfg.cores = 2;
+  topo::CanonicalTree topology(tcfg);
+  driver::StreamingConfig cfg;
+  cfg.generator.num_vms = 64;
+  cfg.generator.seed = 42;
+  cfg.server_capacity.vm_slots = 4;
+  cfg.server_capacity.ram_mb = 1024.0;
+  cfg.server_capacity.cpu_cores = 4.0;
+  cfg.vm_spec.ram_mb = 196.0;
+  cfg.vm_spec.cpu_cores = 1.0;
+  cfg.events.events_per_tick = 24;  // localised churn: shards drift apart
+  cfg.events.seed = 97;
+  cfg.ticks = 16;
+  cfg.drift_threshold = 0.04;
+  cfg.tokens = 4;
+  cfg.ingest_shards = 4;
+  cfg.partial_reopt = true;
+  const driver::StreamingReport report =
+      driver::StreamingEngine(topology, cfg).run();
+  ASSERT_GT(report.partial_reopts, 0u);
+  check_or_regen("canonical-streaming-sharded",
+                 render("canonical-streaming-sharded", report));
 }
 
 #ifdef SCORE_AGENT_BIN
