@@ -11,9 +11,7 @@
 
 #include "core/cached_cost_model.hpp"
 #include "core/sharded_cost_oracle.hpp"
-#include "core/token_policy.hpp"
-#include "driver/multi_token.hpp"
-#include "driver/simulation.hpp"
+#include "driver/reopt.hpp"
 #include "traffic/traffic_matrix.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -60,17 +58,18 @@ double StreamingReport::max_cost_ratio() const {
     if (std::isnan(ratio)) return;
     if (std::isnan(worst) || ratio > worst) worst = ratio;
   };
-  fold_in(ratio_or_nan(final_cost, final_fresh_cost, final_fresh_computed));
+  fold_in(final_cost_ratio());
   for (const ReoptEvent& ev : reopts) fold_in(ev.cost_ratio());
   return worst;
 }
 
+double StreamingReport::final_cost_ratio() const {
+  return ratio_or_nan(final_cost, final_fresh_cost, final_fresh_computed);
+}
+
 std::size_t StreamingReport::undefined_cost_ratios() const {
   std::size_t undefined = 0;
-  if (std::isnan(ratio_or_nan(final_cost, final_fresh_cost,
-                              final_fresh_computed))) {
-    ++undefined;
-  }
+  if (std::isnan(final_cost_ratio())) ++undefined;
   for (const ReoptEvent& ev : reopts) {
     if (!ev.cost_ratio_defined()) ++undefined;
   }
@@ -98,70 +97,6 @@ double ns_since(SteadyClock::time_point start) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  SteadyClock::now() - start)
                                  .count());
-}
-
-struct ReoptStats {
-  std::size_t migrations = 0;
-  std::size_t rounds = 0;
-};
-
-// One drift-triggered re-optimisation on the live state: the paper's
-// incremental adaptation step, through either execution mode. A non-empty
-// `restrict_token_shards` confines the centralized token rounds to those
-// token-shard VM ranges (partial re-optimisation).
-ReoptStats run_reopt(const core::CachedCostModel& model,
-                     const core::MigrationEngine& engine,
-                     core::Allocation& alloc, const traffic::TrafficMatrix& tm,
-                     const StreamingConfig& config,
-                     const std::vector<std::size_t>& restrict_token_shards) {
-  ReoptStats stats;
-  if (config.mode == "distributed") {
-    if (!restrict_token_shards.empty()) {
-      throw std::logic_error(
-          "run_reopt: restricted rounds are centralized-only");
-    }
-    hypervisor::RuntimeConfig rcfg = config.runtime;
-    rcfg.engine = config.engine;
-    rcfg.iterations = config.iterations_per_reopt;
-    hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, rcfg);
-    const hypervisor::RuntimeResult res = runtime.run();
-    stats.migrations = res.total_migrations;
-    stats.rounds = res.rounds();
-  } else {
-    MultiTokenConfig mcfg;
-    mcfg.tokens = std::max<std::size_t>(1, config.tokens);
-    mcfg.iterations = config.iterations_per_reopt;
-    mcfg.stop_when_stable = true;
-    mcfg.policy = config.exec;
-    mcfg.restrict_shards = restrict_token_shards;
-    MultiTokenSimulation sim(engine, alloc, tm);
-    const SimResult res = sim.run(mcfg);
-    stats.migrations = res.total_migrations;
-    stats.rounds = res.iterations.size();
-  }
-  return stats;
-}
-
-// Fresh-placement reference: what starting over on this matrix would achieve.
-double fresh_reference_cost(const topo::Topology& topology,
-                            const traffic::TrafficMatrix& tm,
-                            const StreamingConfig& config,
-                            std::uint64_t salt) {
-  util::Rng rng(config.placement_seed * 104729ull + salt);
-  core::Allocation fresh =
-      baselines::make_allocation(topology, config.server_capacity, tm.num_vms(),
-                                 config.vm_spec, config.placement, rng);
-  const core::LinkWeights weights =
-      core::LinkWeights::exponential(topology.max_level());
-  core::CachedCostModel model(topology, weights);
-  model.bind(fresh, tm);
-  core::MigrationEngine engine(model, config.engine);
-  core::RoundRobinPolicy rr;
-  SimConfig scfg;
-  scfg.iterations = config.reopt_iterations;
-  scfg.stop_when_stable = true;
-  ScoreSimulation reopt(engine, rr, fresh, tm);
-  return reopt.run(scfg).final_cost;
 }
 
 /// Records every effective rate transition an apply commits (post-clamp
@@ -246,10 +181,7 @@ StreamingEngine::StreamingEngine(const topo::Topology& topology,
   if (config_.generator.num_vms < 2) {
     throw std::invalid_argument("StreamingEngine: need at least 2 VMs");
   }
-  if (config_.mode != "centralized" && config_.mode != "distributed") {
-    throw std::invalid_argument("StreamingEngine: mode must be centralized "
-                                "or distributed");
-  }
+  validate_mode(config_.mode);
   if (config_.partial_reopt && config_.ingest_shards <= 1) {
     throw std::invalid_argument(
         "StreamingEngine: partial_reopt requires ingest_shards > 1");
@@ -275,7 +207,16 @@ StreamingReport StreamingEngine::run() {
       core::LinkWeights::exponential(topology_->max_level());
   core::CachedCostModel model(*topology_, weights);
   model.bind(alloc, tm);
-  core::MigrationEngine engine(model, config_.engine);
+  const ReoptStep step{config_.mode,      config_.tokens,
+                       config_.exec,      config_.iterations_per_reopt,
+                       config_.engine,    config_.runtime,
+                       config_.placement, config_.server_capacity,
+                       config_.vm_spec,   config_.reopt_iterations};
+  // `salt` separates the per-trigger and final fresh-reference draws.
+  auto fresh_cost = [&](std::uint64_t salt) {
+    return fresh_reference_cost(*topology_, tm, step,
+                                config_.placement_seed * 104729ull + salt);
+  };
 
   TapGuard tap_guard;
   if (config_.tap != nullptr) {
@@ -290,17 +231,12 @@ StreamingReport StreamingEngine::run() {
   std::vector<core::VmRange> shard_ranges;
   std::vector<DriftTrigger> shard_triggers;
   std::vector<double> drift_acc;  ///< per-shard attributed Eq. (1) drift
-  std::vector<std::unique_ptr<traffic::IngestQueue>> shard_queues;
   std::unique_ptr<DriftRecorder> recorder;
   if (config_.ingest_shards > 1) {
     smap = std::make_unique<traffic::ShardMap>(num_vms, config_.ingest_shards);
     shard_ranges = core::partition_vms(num_vms, smap->num_shards());
-    const std::size_t cap = config_.shard_queue_capacity != 0
-                                ? config_.shard_queue_capacity
-                                : config_.queue_capacity;
     for (std::size_t t = 0; t < smap->num_shards(); ++t) {
       shard_triggers.emplace_back(config_.drift_threshold);
-      shard_queues.push_back(std::make_unique<traffic::IngestQueue>(cap));
     }
     drift_acc.assign(smap->num_shards(), 0.0);
     recorder = std::make_unique<DriftRecorder>(tm, *smap);
@@ -353,7 +289,7 @@ StreamingReport StreamingEngine::run() {
   };
 
   // ---- initial optimisation + trigger arm ----------------------------------
-  run_reopt(model, engine, alloc, tm, config_, {});
+  run_reopt(model, alloc, tm, step);
   report.initial_cost = model.total_cost(alloc, tm);
   DriftTrigger trigger(config_.drift_threshold);
   trigger.arm(report.initial_cost);
@@ -391,30 +327,22 @@ StreamingReport StreamingEngine::run() {
     double fire_drift = 0.0;
     drifted.clear();
     if (sharded) {
-      // Demux the recorded effective transitions through the per-shard
-      // queues, then fold them in parallel: worker t drains only queue t
-      // and writes only accumulator t, reading the (stable) allocation.
+      // Fold this tick's recorded effective transitions in parallel: worker
+      // t reads and clears only staged batch t and writes only accumulator
+      // t, reading the (stable) allocation.
       auto& staged = recorder->staged();
-      for (std::size_t t = 0; t < shards; ++t) {
-        if (staged[t].empty()) continue;
-        shard_queues[t]->push(std::move(staged[t]));
-        staged[t].clear();
-      }
       const bool bulk = recorder->take_bulk();
       util::for_each_shard(config_.exec, shards, [&](std::size_t t) {
-        traffic::FlowDeltaBatch sub;
         double acc = 0.0;
-        while (shard_queues[t]->try_pop(sub)) {
-          for (const traffic::FlowDelta& d : sub) {
-            const int lvl = model.level(alloc, d.u, d.v);
-            const double per_endpoint =
-                0.5 * model.pair_cost(std::abs(d.delta), lvl);
-            const int ends =
-                static_cast<int>(smap->shard_of(d.u) == t) +
-                static_cast<int>(smap->shard_of(d.v) == t);
-            acc += static_cast<double>(ends) * per_endpoint;
-          }
+        for (const traffic::FlowDelta& d : staged[t]) {
+          const int lvl = model.level(alloc, d.u, d.v);
+          const double per_endpoint =
+              0.5 * model.pair_cost(std::abs(d.delta), lvl);
+          const int ends = static_cast<int>(smap->shard_of(d.u) == t) +
+                           static_cast<int>(smap->shard_of(d.v) == t);
+          acc += static_cast<double>(ends) * per_endpoint;
         }
+        staged[t].clear();
         drift_acc[t] += acc;
       });
       report.fold_latency_ns.push_back(ns_since(fold_start));
@@ -483,8 +411,7 @@ StreamingReport StreamingEngine::run() {
 #endif
       std::vector<double> pre_sums;
       if (sharded) pre_sums = shard_sums();
-      const ReoptStats res =
-          run_reopt(model, engine, alloc, tm, config_, restrict_shards);
+      const ReoptResult res = run_reopt(model, alloc, tm, step, restrict_shards);
       ev.cost_after = model.total_cost(alloc, tm);
       ev.migrations = res.migrations;
       ev.rounds = res.rounds;
@@ -527,8 +454,7 @@ StreamingReport StreamingEngine::run() {
         //     shares (matrix, weights, engine config).
         core::CachedCostModel full_model(*topology_, weights);
         full_model.bind(*pre_alloc, tm);
-        core::MigrationEngine full_engine(full_model, config_.engine);
-        run_reopt(full_model, full_engine, *pre_alloc, tm, config_, {});
+        run_reopt(full_model, *pre_alloc, tm, step);
         const double full_after = full_model.total_cost(*pre_alloc, tm);
         if (full_after >
             ev.cost_before + 1e-6 * (std::abs(ev.cost_before) + 1.0)) {
@@ -539,8 +465,7 @@ StreamingReport StreamingEngine::run() {
       }
 #endif
       if (config_.fresh_reference) {
-        ev.fresh_cost = fresh_reference_cost(*topology_, tm, config_,
-                                             31ull * tick + 17ull);
+        ev.fresh_cost = fresh_cost(31ull * tick + 17ull);
         ev.fresh_computed = true;
       }
       trigger.arm(ev.cost_after);
@@ -585,17 +510,12 @@ StreamingReport StreamingEngine::run() {
   report.ticks = tick;
   report.final_cost = model.total_cost(alloc, tm);
   if (config_.fresh_reference) {
-    report.final_fresh_cost =
-        fresh_reference_cost(*topology_, tm, config_, 0xF1A7ull);
+    report.final_fresh_cost = fresh_cost(0xF1A7ull);
     report.final_fresh_computed = true;
   }
   report.deltas_folded = model.deltas_folded();
   report.cache_rebuilds = model.rebuilds();
   report.max_queue_depth = queue.max_depth();
-  for (const auto& sq : shard_queues) {
-    report.max_shard_queue_depth =
-        std::max(report.max_shard_queue_depth, sq->max_depth());
-  }
   return report;
 }
 

@@ -24,11 +24,11 @@
 //
 // Sharded ingest (ingest_shards > 1) partitions drift *attribution* per VM
 // shard while the matrix stays single-owner: the apply records each pair's
-// effective rate transition through the observer seam, the records are
-// demuxed into one bounded IngestQueue per shard (a record reaches every
-// shard owning one of its endpoints), and per-shard fold workers (one
-// for_each_shard job per shard under `exec`) drain their queue and
-// accumulate the shard's share of the Eq. (1) perturbation:
+// effective rate transition through the observer seam into one staged batch
+// per shard (a record reaches every shard owning one of its endpoints), and
+// per-shard fold workers (one for_each_shard job per shard under `exec`)
+// fold and clear their shard's batch once per tick, accumulating the
+// shard's share of the Eq. (1) perturbation:
 //
 //   D_t += Σ_records (#endpoints in shard t) · ½·pair_cost(|Δλ|, ℓ(u,v))
 //
@@ -76,7 +76,6 @@ class DriftTrigger {
   }
 
   double baseline() const { return baseline_; }
-  double threshold() const { return threshold_; }
 
  private:
   double threshold_;
@@ -130,7 +129,7 @@ struct StreamingConfig {
 
   // ---- sharded ingest + partial re-optimisation ----------------------------
   /// > 1 partitions drift attribution per VM shard (see the module comment):
-  /// per-shard demux queues, parallel fold workers under `exec`, one
+  /// per-shard staged batches, parallel fold workers under `exec`, one
   /// DriftTrigger per shard. 1 (the default) keeps the single global drift
   /// scalar — bit-for-bit the pre-sharding behaviour.
   std::size_t ingest_shards = 1;
@@ -139,11 +138,6 @@ struct StreamingConfig {
   /// drifted ingest shards' VM ranges (MultiTokenConfig::restrict_shards).
   /// Rejected with distributed mode (dom0 agents always walk their world).
   bool partial_reopt = false;
-  /// Capacity of each per-shard demux queue (0 = inherit queue_capacity).
-  /// The tick-phased engine drains every shard queue before the next apply,
-  /// so depth never exceeds 1 per queue; the bound is still enforced and
-  /// reported so external feeders reuse the same backpressure semantics.
-  std::size_t shard_queue_capacity = 0;
 
   // ---- diagnostics ---------------------------------------------------------
   /// Optional observer registered on the live matrix for the whole run (not
@@ -192,12 +186,11 @@ struct StreamingReport {
   bool final_fresh_computed = false;  ///< final_fresh_cost is a real reference
 
   // ---- sharded ingest ------------------------------------------------------
-  std::size_t ingest_shards = 1;         ///< shard count the run used
-  std::size_t partial_reopts = 0;        ///< reopts with restricted rounds
-  std::size_t max_shard_queue_depth = 0;  ///< high-water over demux queues
+  std::size_t ingest_shards = 1;   ///< shard count the run used
+  std::size_t partial_reopts = 0;  ///< reopts with restricted rounds
 
   // ---- latency percentiles -------------------------------------------------
-  /// One sample per consumed batch: apply + (sharded) demux + drift fold.
+  /// One sample per consumed batch: apply + (sharded) drift fold.
   std::vector<double> fold_latency_ns;
   /// One sample per per-batch trigger decision (drift evaluation only).
   std::vector<double> trigger_latency_ns;
@@ -218,6 +211,8 @@ struct StreamingReport {
   /// undefined_cost_ratios() / NaN instead of assuming a benign 1.0, which
   /// is exactly the masking the old implementation baked in.
   double max_cost_ratio() const;
+  /// final_cost vs final_fresh_cost, by the rule of ReoptEvent::cost_ratio().
+  double final_cost_ratio() const;
   /// Ratios (triggers + final state) with no defined value.
   std::size_t undefined_cost_ratios() const;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "hypervisor/wire.hpp"
@@ -12,6 +13,15 @@ namespace {
 
 using wire::get_u32;
 using wire::put_u32;
+
+// Exact probe payload sizes, in u32 fields: location request = subject VM +
+// nonce; location response = subject + dom0 address + nonce; capacity
+// request = nonce; capacity response = nonce + dom0 address + slots + RAM +
+// CPU + NIC. A probe of any other length is dropped unanswered.
+constexpr std::size_t kLocationRequestBytes = 8;
+constexpr std::size_t kLocationResponseBytes = 12;
+constexpr std::size_t kCapacityRequestBytes = 4;
+constexpr std::size_t kCapacityResponseBytes = 24;
 
 // ---- token policies over pure token state -----------------------------------
 
@@ -76,6 +86,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
     case CtrlMsg::kLocationRequest: {
       // A peer's dom0 asks where we are: answer with subject VM + our address
       // (the NAT redirect delivers the probe to dom0, which replies, §V-B.4).
+      if (msg.payload.size() != kLocationRequestBytes) return;
       std::vector<std::uint8_t> payload;
       put_u32(payload, get_u32(msg.payload, 0));                 // subject VM
       put_u32(payload, env_->hv().ipam().host_address(host_));   // our dom0 addr
@@ -85,6 +96,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kLocationResponse: {
+      if (msg.payload.size() != kLocationResponseBytes) return;
       if (!pending_ || pending_->stage != kLocations ||
           pending_->awaiting_locations == 0) {
         return;
@@ -100,6 +112,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
     case CtrlMsg::kCapacityRequest: {
       // Report residual capacity (free slots + available RAM, extended with
       // CPU and NIC bandwidth, §V-B.5) for our server.
+      if (msg.payload.size() != kCapacityRequestBytes) return;
       const HostCapacity cap = env_->hv().host_capacity(host_);
       std::vector<std::uint8_t> payload;
       put_u32(payload, get_u32(msg.payload, 0));                // echo nonce
@@ -114,6 +127,7 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
     case CtrlMsg::kCapacityResponse: {
+      if (msg.payload.size() != kCapacityResponseBytes) return;
       if (!pending_ || pending_->stage != kCapacities ||
           pending_->awaiting_capacities == 0) {
         return;
@@ -131,6 +145,8 @@ void Dom0Agent::on_message(const sim::Message& msg) {
       return;
     }
   }
+  throw std::invalid_argument("Dom0Agent: unknown control message type " +
+                              std::to_string(msg.type));
 }
 
 void Dom0Agent::on_token(const sim::Message& msg) {

@@ -38,9 +38,9 @@ struct FlowDelta {
 
 /// An ordered batch of flow deltas — the ingest unit. Deltas are applied in
 /// order, so two deltas to the same pair accumulate. The sharded ingest path
-/// (driver/streaming) also uses batches as its demux unit: effective rate
-/// transitions recorded during an apply are re-expressed as one FlowDelta
-/// per change and routed to per-shard sub-batches.
+/// (driver/streaming) also uses batches as its per-shard staging unit:
+/// effective rate transitions recorded during an apply are re-expressed as
+/// one FlowDelta per change and routed to per-shard sub-batches.
 class FlowDeltaBatch {
  public:
   void push(VmId u, VmId v, double delta) { deltas_.push_back({u, v, delta}); }

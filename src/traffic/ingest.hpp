@@ -147,9 +147,6 @@ class IngestQueue {
   /// consumer's termination signal).
   bool pop(FlowDeltaBatch& out);
 
-  /// Non-blocking pop: false when currently empty (queue may still be open).
-  bool try_pop(FlowDeltaBatch& out);
-
   /// No more pushes will arrive; wakes blocked consumers and producers.
   void close();
 

@@ -86,8 +86,8 @@ TEST(CliFlags, ModeIncompatibleCombosAreRejected) {
                             "--partial-reopt");
 }
 
-TEST(CliFlags, DistributedAliasStillConflictsWithCentralizedKnobs) {
-  expect_one_line_rejection("--distributed --tokens 2", "--tokens");
+TEST(CliFlags, DistributedModeConflictsWithCentralizedKnobs) {
+  expect_one_line_rejection("--mode distributed --tokens 2", "--tokens");
 }
 
 TEST(CliFlags, ValidCombosStillRun) {

@@ -1,11 +1,19 @@
 // Hypervisor-substrate tests: flow table CRUD and throughput (paper §V-B.1),
-// token wire codec (§V-A/B.2), and the pre-copy live-migration model
-// (Fig. 5b-d quantities).
+// token wire codec (§V-A/B.2), the pre-copy live-migration model
+// (Fig. 5b-d quantities), and the dom0 agent's rejection of malformed probe
+// frames.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "helpers.hpp"
+#include "hypervisor/agent.hpp"
 #include "hypervisor/flow_table.hpp"
 #include "hypervisor/live_migration.hpp"
 #include "hypervisor/token_codec.hpp"
+#include "hypervisor/wire.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -386,6 +394,219 @@ TEST(MigrationModel, RoundsCappedByConfig) {
   Rng rng(8);
   const MigrationOutcome out = model.simulate(rng, 0.0);
   EXPECT_EQ(out.precopy_rounds, 5);
+}
+
+// ------------------------------------------------------------ probe frames
+
+namespace hv = score::hypervisor;
+
+/// Records every send and armed timer instead of delivering them.
+class RecordingComm final : public hv::Communicator {
+ public:
+  double now() const override { return 0.0; }
+  void send(hv::CtrlMsg type, score::topo::HostId from, score::topo::HostId to,
+            std::vector<std::uint8_t> payload) override {
+    sent.push_back({type, from, to, std::move(payload)});
+  }
+  void send_after(double, hv::CtrlMsg type, score::topo::HostId from,
+                  score::topo::HostId to,
+                  std::vector<std::uint8_t> payload) override {
+    send(type, from, to, std::move(payload));
+  }
+  void arm_probe_timer(score::topo::HostId, double, std::uint32_t,
+                       int) override {
+    ++timers;
+  }
+
+  struct Sent {
+    hv::CtrlMsg type;
+    score::topo::HostId from;
+    score::topo::HostId to;
+    std::vector<std::uint8_t> payload;
+  };
+  std::vector<Sent> sent;
+  std::size_t timers = 0;
+};
+
+class RecordingEnv final : public hv::AgentEnv {
+ public:
+  explicit RecordingEnv(hv::Hypervisor& hypervisor) : hv_(&hypervisor) {}
+  hv::Hypervisor& hv() override { return *hv_; }
+  hv::Communicator& comm() override { return comm_; }
+  bool stopped() const override { return false; }
+  bool hold_complete(bool) override {
+    ++holds;
+    return true;
+  }
+  void stop_run() override {}
+  void token_telemetry(std::uint32_t, std::uint32_t, double) override {}
+  void note_probe_retransmits(std::size_t) override {}
+  void note_probe_timeout() override {}
+
+  RecordingComm comm_;
+  std::size_t holds = 0;
+
+ private:
+  hv::Hypervisor* hv_;
+};
+
+score::sim::Message frame(hv::CtrlMsg type, score::topo::HostId src,
+                          score::topo::HostId dst,
+                          std::vector<std::uint8_t> payload) {
+  score::sim::Message msg;
+  msg.src = src;
+  msg.dst = dst;
+  msg.type = static_cast<int>(type);
+  // Moved, not copied: a truncated payload keeps its original capacity, so a
+  // reader that ignores size() would find the cut-off bytes still there.
+  msg.payload = std::move(payload);
+  return msg;
+}
+
+std::vector<std::uint8_t> truncated(std::vector<std::uint8_t> payload,
+                                    std::size_t size) {
+  payload.resize(size);
+  return payload;
+}
+
+// Two communicating VMs in different racks; the holder's agent walks one
+// decision up to each probe stage, and every probe type is also sent short
+// (and a request long). A frame whose length is not its type's exact size
+// must produce no send, arm no timer and advance no decision state.
+TEST(Dom0AgentProbes, WrongLengthProbesAreDroppedUnanswered) {
+  score::topo::CanonicalTree topology(score::testing::tiny_tree_config());
+  score::core::ServerCapacity cap;
+  cap.vm_slots = 4;
+  cap.ram_mb = 4096.0;
+  cap.cpu_cores = 4.0;
+  score::core::Allocation alloc(topology.num_hosts(), cap);
+  const score::topo::HostId kHolderHost = 0;
+  const score::topo::HostId kPeerHost = 5;  // another rack
+  alloc.add_vm(score::core::VmSpec{}, kHolderHost);
+  alloc.add_vm(score::core::VmSpec{}, kPeerHost);
+  score::traffic::TrafficMatrix tm(2);
+  tm.set(0, 1, 1000.0);
+  const score::core::CostModel model(
+      topology, score::core::LinkWeights::exponential(topology.max_level()));
+  hv::SimHypervisor hypervisor(model, alloc, tm, hv::SimHypervisorConfig{});
+  RecordingEnv env(hypervisor);
+  RecordingComm& comm = env.comm_;
+  const hv::AgentConfig cfg;
+  hv::Dom0Agent holder;
+  holder.bind(&env, &cfg, kHolderHost);
+  hv::Dom0Agent peer;
+  peer.bind(&env, &cfg, kPeerHost);
+
+  // Requests: only the exact size is answered.
+  std::vector<std::uint8_t> loc_req;
+  hv::wire::put_u32(loc_req, hv::addr_of_vm(1));
+  hv::wire::put_u32(loc_req, 77);
+  for (const std::size_t size : {0u, 4u, 7u}) {
+    peer.on_message(frame(hv::CtrlMsg::kLocationRequest, kHolderHost,
+                          kPeerHost, truncated(loc_req, size)));
+  }
+  std::vector<std::uint8_t> long_loc_req = loc_req;
+  long_loc_req.push_back(0);
+  peer.on_message(frame(hv::CtrlMsg::kLocationRequest, kHolderHost, kPeerHost,
+                        long_loc_req));
+  std::vector<std::uint8_t> cap_req;
+  hv::wire::put_u32(cap_req, 77);
+  for (const std::size_t size : {0u, 3u}) {
+    peer.on_message(frame(hv::CtrlMsg::kCapacityRequest, kHolderHost,
+                          kPeerHost, truncated(cap_req, size)));
+  }
+  std::vector<std::uint8_t> long_cap_req = cap_req;
+  long_cap_req.push_back(0);
+  peer.on_message(frame(hv::CtrlMsg::kCapacityRequest, kHolderHost, kPeerHost,
+                        long_cap_req));
+  EXPECT_TRUE(comm.sent.empty());
+  peer.on_message(
+      frame(hv::CtrlMsg::kLocationRequest, kHolderHost, kPeerHost, loc_req));
+  peer.on_message(
+      frame(hv::CtrlMsg::kCapacityRequest, kHolderHost, kPeerHost, cap_req));
+  ASSERT_EQ(comm.sent.size(), 2u);
+  EXPECT_EQ(comm.sent[0].payload.size(), 12u);
+  EXPECT_EQ(comm.sent[1].payload.size(), 24u);
+  comm.sent.clear();
+
+  // The holder takes the token and probes its peer's location.
+  hv::Token token;
+  token.holder = hv::addr_of_vm(0);
+  token.entries = {{hv::addr_of_vm(0), 0, false}, {hv::addr_of_vm(1), 0, false}};
+  holder.on_message(frame(hv::CtrlMsg::kToken, kHolderHost, kHolderHost,
+                          hv::encode_token(token)));
+  ASSERT_EQ(comm.sent.size(), 1u);
+  ASSERT_EQ(comm.sent[0].type, hv::CtrlMsg::kLocationRequest);
+  peer.on_message(frame(hv::CtrlMsg::kLocationRequest, kHolderHost, kPeerHost,
+                        comm.sent[0].payload));
+  ASSERT_EQ(comm.sent.size(), 2u);
+  const std::vector<std::uint8_t> loc_resp = comm.sent[1].payload;
+  comm.sent.clear();
+  const std::size_t timers = comm.timers;
+
+  // A short location response (its nonce cut off) must not count.
+  holder.on_message(frame(hv::CtrlMsg::kLocationResponse, kPeerHost,
+                          kHolderHost, truncated(loc_resp, 8)));
+  EXPECT_TRUE(comm.sent.empty());
+  EXPECT_EQ(comm.timers, timers);
+  // The decision still waits for it: the full response starts the
+  // capacity stage.
+  holder.on_message(
+      frame(hv::CtrlMsg::kLocationResponse, kPeerHost, kHolderHost, loc_resp));
+  ASSERT_FALSE(comm.sent.empty());
+  std::vector<RecordingComm::Sent> cap_reqs = std::move(comm.sent);
+  comm.sent.clear();
+  for (const RecordingComm::Sent& req : cap_reqs) {
+    ASSERT_EQ(req.type, hv::CtrlMsg::kCapacityRequest);
+  }
+
+  // Short capacity responses (NIC field cut off) from every candidate must
+  // not complete the stage.
+  std::vector<std::vector<std::uint8_t>> cap_resps;
+  for (const RecordingComm::Sent& req : cap_reqs) {
+    // nonce, answering dom0, free slots, RAM MB, milli-CPUs, NIC kbps
+    std::vector<std::uint8_t> resp(24);
+    std::uint8_t* at = resp.data();
+    for (const std::uint32_t field :
+         {hv::wire::get_u32(req.payload, 0),
+          hypervisor.ipam().host_address(req.to), 4u, 4096u, 4000u, 1000000u}) {
+      at = hv::wire::store_u32(at, field);
+    }
+    cap_resps.push_back(resp);
+    holder.on_message(frame(hv::CtrlMsg::kCapacityResponse, req.to,
+                            kHolderHost, truncated(resp, 20)));
+  }
+  EXPECT_TRUE(comm.sent.empty());
+  EXPECT_EQ(comm.timers, timers + 1);  // the capacity stage's own timeout
+  EXPECT_EQ(env.holds, 0u);
+  // The full responses complete the hold and pass the token on.
+  for (std::size_t i = 0; i < cap_reqs.size(); ++i) {
+    holder.on_message(frame(hv::CtrlMsg::kCapacityResponse, cap_reqs[i].to,
+                            kHolderHost, cap_resps[i]));
+  }
+  EXPECT_EQ(env.holds, 1u);
+  ASSERT_FALSE(comm.sent.empty());
+  EXPECT_EQ(comm.sent.back().type, hv::CtrlMsg::kToken);
+}
+
+TEST(Dom0AgentProbes, UnknownMessageTypeIsRejected) {
+  score::topo::CanonicalTree topology(score::testing::tiny_tree_config());
+  score::core::Allocation alloc(topology.num_hosts(),
+                                score::core::ServerCapacity{});
+  alloc.add_vm(score::core::VmSpec{}, 0);
+  score::traffic::TrafficMatrix tm(1);
+  const score::core::CostModel model(
+      topology, score::core::LinkWeights::exponential(topology.max_level()));
+  hv::SimHypervisor hypervisor(model, alloc, tm, hv::SimHypervisorConfig{});
+  RecordingEnv env(hypervisor);
+  const hv::AgentConfig cfg;
+  hv::Dom0Agent agent;
+  agent.bind(&env, &cfg, 0);
+  score::sim::Message msg;
+  msg.type = 99;
+  msg.payload.assign(8, 0);
+  EXPECT_THROW(agent.on_message(msg), std::invalid_argument);
+  EXPECT_TRUE(env.comm_.sent.empty());
 }
 
 }  // namespace

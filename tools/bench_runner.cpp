@@ -961,8 +961,8 @@ bool run_streaming_ingest(bench::JsonReport& report) {
   // ---- sharded ingest + partial re-optimisation -----------------------------
   // Same scenarios with drift attribution split across 4 VM shards and each
   // triggered re-opt confined to the drifted shards' token ranges. Hard
-  // gates: the <= 1.05 band vs fresh still holds under partial re-opts, both
-  // queue families respect their bounds, and a seq re-run of the identical
+  // gates: the <= 1.05 band vs fresh still holds under partial re-opts, the
+  // ingest queue respects its bound, and a seq re-run of the identical
   // config lands on bit-identical results (the fold is single-owner; shard
   // workers only write disjoint accumulators).
   for (auto& spec : specs) {
@@ -1004,16 +1004,14 @@ bool run_streaming_ingest(bench::JsonReport& report) {
                 << ") vs band " << 1.0 + kDriftBand << "\n";
       ok = false;
     }
-    if (res.max_queue_depth > cfg.queue_capacity ||
-        res.max_shard_queue_depth > cfg.queue_capacity) {
+    if (res.max_queue_depth > cfg.queue_capacity) {
       std::cerr << "[streaming-ingest] BACKPRESSURE FAILURE: " << spec.name
-                << "/sharded depths " << res.max_queue_depth << "/"
-                << res.max_shard_queue_depth << " > capacity "
+                << "/sharded depth " << res.max_queue_depth << " > capacity "
                 << cfg.queue_capacity << "\n";
       ok = false;
     }
     // Determinism cross-check: the parallel shard fold must be bit-identical
-    // to the sequential one (disjoint accumulators, fixed demux order).
+    // to the sequential one (disjoint accumulators, fixed staging order).
     {
       driver::StreamingConfig seq_cfg = cfg;
       seq_cfg.exec = util::ExecPolicy::seq();
@@ -1053,8 +1051,6 @@ bool run_streaming_ingest(bench::JsonReport& report) {
     rec.metric("cache_rebuilds", static_cast<double>(res.cache_rebuilds));
     rec.metric("queue_capacity", static_cast<double>(cfg.queue_capacity));
     rec.metric("max_queue_depth", static_cast<double>(res.max_queue_depth));
-    rec.metric("max_shard_queue_depth",
-               static_cast<double>(res.max_shard_queue_depth));
     rec.metric("reopts", static_cast<double>(res.reopts.size()));
     rec.metric("partial_reopts", static_cast<double>(res.partial_reopts));
     rec.metric("deltas_per_reopt", res.deltas_per_reopt());

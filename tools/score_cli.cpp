@@ -28,7 +28,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "baselines/ga_optimizer.hpp"
@@ -51,17 +50,11 @@ namespace {
 
 using namespace score;
 
-/// The effective mode, honoring the deprecated --distributed alias.
-std::string effective_mode(const util::Flags& flags) {
-  return flags.get_bool("distributed") ? "distributed"
-                                       : flags.get_string("mode");
-}
-
 /// Reject flag combinations that contradict the selected mode, with a
 /// one-line diagnostic naming both the flag and the mode it needs. Only
 /// flags the user actually passed are checked — defaults never conflict.
 void validate_mode_combos(const util::Flags& flags) {
-  const std::string mode = effective_mode(flags);
+  const std::string mode = flags.get_string("mode");
   if (mode != "centralized" && mode != "distributed" &&
       mode != "continuous" && mode != "streaming") {
     throw std::invalid_argument(
@@ -127,9 +120,6 @@ int run_continuous(const topo::Topology& topology, const util::Flags& flags) {
   const int threads = static_cast<int>(flags.get_int("threads"));
   cfg.exec = threads > 0 ? util::ExecPolicy::par(static_cast<std::size_t>(threads))
                          : util::ExecPolicy::seq();
-  if (flags.get_bool("distributed")) {
-    cfg.mode = "distributed";
-  }
   if (flags.get_double("loss") > 0.0 || flags.get_double("budget-mb") > 0.0) {
     cfg.mode = "distributed";
     cfg.runtime.message_loss_rate = flags.get_double("loss");
@@ -235,9 +225,7 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
             << report.deltas_folded << " folded O(1), "
             << report.cache_rebuilds << " cache rebuilds)\n";
   if (report.ingest_shards > 1) {
-    std::cout << "sharded ingest: " << report.ingest_shards
-              << " shards, max shard-queue depth "
-              << report.max_shard_queue_depth << ", "
+    std::cout << "sharded ingest: " << report.ingest_shards << " shards, "
               << report.partial_reopts << " partial re-opts\n";
   }
   std::cout << "tick   drift    cost_before    cost_after     fresh_reopt    "
@@ -256,13 +244,7 @@ int run_streaming(const topo::Topology& topology, const util::Flags& flags) {
             << " re-optimisations, " << report.deltas_per_reopt()
             << " deltas/re-opt, final cost " << report.final_cost
             << " (ratio vs fresh re-opt "
-            << fmt_ratio(report.final_fresh_computed &&
-                                 report.final_fresh_cost > 0.0
-                             ? report.final_cost / report.final_fresh_cost
-                             : report.final_fresh_computed &&
-                                       report.final_cost > 0.0
-                                 ? std::numeric_limits<double>::infinity()
-                                 : std::numeric_limits<double>::quiet_NaN())
+            << fmt_ratio(report.final_cost_ratio())
             << ", worst " << fmt_ratio(report.max_cost_ratio());
   if (report.undefined_cost_ratios() > 0) {
     std::cout << ", " << report.undefined_cost_ratios() << " undefined";
@@ -305,12 +287,11 @@ int main(int argc, char** argv) {
                    "a re-optimisation");
   flags.add_int("ingest-shards", 1,
                 "streaming mode: partition drift attribution across this many "
-                "VM shards (per-shard queues + triggers; 1 = global scalar)");
+                "VM shards (per-shard staged batches + triggers; 1 = global "
+                "scalar)");
   flags.add_bool("partial-reopt", false,
                  "streaming mode: confine triggered re-optimisations to the "
                  "drifted shards' token ranges (needs --ingest-shards > 1)");
-  flags.add_bool("distributed", false,
-                 "deprecated alias for --mode distributed");
   flags.add_bool("series", false, "print the cost-vs-time series as CSV");
   flags.add_string("save", "", "write the generated scenario snapshot to this file");
   flags.add_string("load", "", "load the scenario from a snapshot instead of generating");
@@ -325,11 +306,11 @@ int main(int argc, char** argv) {
     }
     validate_mode_combos(flags);
 
-    if (effective_mode(flags) == "streaming") {
+    if (flags.get_string("mode") == "streaming") {
       auto topology = tools::make_topology(flags);
       return run_streaming(*topology, flags);
     }
-    if (effective_mode(flags) == "continuous") {
+    if (flags.get_string("mode") == "continuous") {
       auto topology = tools::make_topology(flags);
       return run_continuous(*topology, flags);
     }
@@ -359,7 +340,7 @@ int main(int argc, char** argv) {
     core::MigrationEngine engine(model, w.runtime.engine);
 
     driver::SimResult result;
-    if (effective_mode(flags) == "distributed") {
+    if (flags.get_string("mode") == "distributed") {
       hypervisor::DistributedScoreRuntime runtime(model, alloc, tm, w.runtime);
       const hypervisor::RuntimeResult r = runtime.run();
       const driver::ConvergenceReport rep = r.report();
